@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use acep_types::{Event, EventTypeId, Value};
 
-use crate::codec::{CheckpointError, Reader, Writer};
+use crate::codec::{wire_struct, CheckpointError, Reader, Wire, Writer};
 
 /// A serialized attribute value.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +53,10 @@ impl ValueRec {
             ValueRec::Str(s) => Value::Str(Arc::from(s.as_str())),
         }
     }
+}
 
-    pub(crate) fn encode(&self, w: &mut Writer) {
+impl Wire for ValueRec {
+    fn put(&self, w: &mut Writer) {
         match self {
             ValueRec::Int(i) => {
                 w.put_u8(0);
@@ -75,7 +77,7 @@ impl ValueRec {
         }
     }
 
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(match r.get_u8()? {
             0 => ValueRec::Int(r.get_i64()?),
             1 => ValueRec::Float(r.get_f64()?),
@@ -119,33 +121,10 @@ impl EventRec {
             self.attrs.iter().map(ValueRec::to_value).collect(),
         )
     }
+}
 
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.type_id);
-        w.put_u64(self.timestamp);
-        w.put_u64(self.seq);
-        w.put_usize(self.attrs.len());
-        for a in &self.attrs {
-            a.encode(w);
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let type_id = r.get_u32()?;
-        let timestamp = r.get_u64()?;
-        let seq = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut attrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            attrs.push(ValueRec::decode(r)?);
-        }
-        Ok(Self {
-            type_id,
-            timestamp,
-            seq,
-            attrs,
-        })
-    }
+wire_struct! {
+    EventRec { type_id, timestamp, seq, attrs }
 }
 
 /// Export-side interner: deduplicates events by `seq` as structures are
@@ -257,10 +236,7 @@ mod tests {
         assert_eq!(table.intern(&ev), 42);
         assert_eq!(table.len(), 1);
         let recs = table.into_records();
-        let mut w = Writer::new();
-        recs[0].encode(&mut w);
-        let bytes = w.into_bytes();
-        let decoded = EventRec::decode(&mut Reader::new(&bytes)).unwrap();
+        let decoded = EventRec::get(&mut Reader::new(&recs[0].wire_bytes())).unwrap();
         assert_eq!(decoded, recs[0]);
         let mut map = EventMap::new();
         map.insert(&decoded);

@@ -39,8 +39,7 @@ pub use codec::{fnv64, CheckpointError, Reader, Writer};
 pub use event_table::{EventMap, EventRec, EventTable, ValueRec};
 pub use log::{CheckpointLog, Manifest, MAGIC};
 pub use rec::{
-    decode_plan, encode_plan, BranchCtlRec, BufferRec, CollectorRec, ControllerRec, CountersRec,
-    ExecutorRec, FinalizerRec, GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec,
-    MigratingRec, OrderExecRec, PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint,
-    StatsRec, TreeExecRec,
+    BranchCtlRec, BufferRec, CollectorRec, ControllerRec, CountersRec, ExecutorRec, FinalizerRec,
+    GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec, MigratingRec, OrderExecRec,
+    PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint, StatsRec, TreeExecRec,
 };

@@ -24,7 +24,7 @@
 
 use std::path::Path;
 
-use crate::codec::{fnv64, CheckpointError, Reader, Writer};
+use crate::codec::{fnv64, wire_struct, CheckpointError, Reader, Wire, Writer};
 use crate::event_table::EventMap;
 use crate::rec::ShardCheckpoint;
 
@@ -54,35 +54,8 @@ pub struct Manifest {
     pub emit_frontier: Vec<u64>,
 }
 
-impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.checkpoint_id);
-        w.put_u32(self.shards);
-        w.put_u64(self.events_ingested);
-        w.put_usize(self.emit_frontier.len());
-        for &f in &self.emit_frontier {
-            w.put_u64(f);
-        }
-        w.into_bytes()
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let checkpoint_id = r.get_u64()?;
-        let shards = r.get_u32()?;
-        let events_ingested = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut emit_frontier = Vec::with_capacity(n);
-        for _ in 0..n {
-            emit_frontier.push(r.get_u64()?);
-        }
-        Ok(Self {
-            checkpoint_id,
-            shards,
-            events_ingested,
-            emit_frontier,
-        })
-    }
+wire_struct! {
+    Manifest { checkpoint_id, shards, events_ingested, emit_frontier }
 }
 
 /// Index entry for one frame.
@@ -217,7 +190,7 @@ impl CheckpointLog {
             KIND_MANIFEST,
             manifest.checkpoint_id,
             MANIFEST_SHARD,
-            &manifest.encode(),
+            &manifest.wire_bytes(),
         );
     }
 
@@ -227,7 +200,7 @@ impl CheckpointLog {
             return Ok(None);
         };
         let payload = &self.bytes[desc.offset..desc.offset + desc.len];
-        Manifest::decode(&mut Reader::new(payload)).map(Some)
+        Manifest::get(&mut Reader::new(payload)).map(Some)
     }
 
     /// Recovers one shard's state at checkpoint `checkpoint_id`:

@@ -1,8 +1,9 @@
 //! Serialized snapshots of the runtime's recoverable state.
 //!
 //! Every structure a shard worker must survive a crash with has a
-//! `*Rec` mirror here with plain public fields and an explicit
-//! little-endian encoding (see [`crate::codec`]). The runtime crates
+//! `*Rec` mirror here with plain public fields. Each struct's wire
+//! order is its field list in the [`wire_struct!`] block below; the
+//! tagged enums are encoded by hand (see [`crate::codec`]). The runtime crates
 //! (`acep-engine`, `acep-core`, `acep-stream`) own the conversions to
 //! and from these records — this crate only defines the wire shape, so
 //! it depends on nothing but `acep-types` and `acep-plan`.
@@ -13,103 +14,8 @@
 
 use acep_plan::{EvalPlan, LazyPlan, OrderPlan, TreeNode, TreePlan};
 
-use crate::codec::{CheckpointError, Reader, Writer};
+use crate::codec::{wire_struct, CheckpointError, Reader, Wire, Writer};
 use crate::event_table::EventRec;
-
-fn encode_vec_u64(w: &mut Writer, v: &[u64]) {
-    w.put_usize(v.len());
-    for &x in v {
-        w.put_u64(x);
-    }
-}
-
-fn decode_vec_u64(r: &mut Reader<'_>) -> Result<Vec<u64>, CheckpointError> {
-    let n = r.get_len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.get_u64()?);
-    }
-    Ok(v)
-}
-
-/// Encodes an [`EvalPlan`] (order permutation or tree arena).
-pub fn encode_plan(w: &mut Writer, plan: &EvalPlan) {
-    match plan {
-        EvalPlan::Order(p) => {
-            w.put_u8(0);
-            w.put_usize(p.order.len());
-            for &s in &p.order {
-                w.put_usize(s);
-            }
-        }
-        EvalPlan::Tree(p) => {
-            w.put_u8(1);
-            w.put_usize(p.nodes.len());
-            for node in &p.nodes {
-                match node {
-                    TreeNode::Leaf { slot } => {
-                        w.put_u8(0);
-                        w.put_usize(*slot);
-                    }
-                    TreeNode::Internal { left, right } => {
-                        w.put_u8(1);
-                        w.put_usize(*left);
-                        w.put_usize(*right);
-                    }
-                }
-            }
-            w.put_usize(p.root);
-        }
-        EvalPlan::Lazy(p) => {
-            w.put_u8(2);
-            w.put_usize(p.order.len());
-            for &s in &p.order {
-                w.put_usize(s);
-            }
-        }
-    }
-}
-
-/// Decodes an [`EvalPlan`] written by [`encode_plan`].
-pub fn decode_plan(r: &mut Reader<'_>) -> Result<EvalPlan, CheckpointError> {
-    Ok(match r.get_u8()? {
-        0 => {
-            let n = r.get_len()?;
-            let mut order = Vec::with_capacity(n);
-            for _ in 0..n {
-                order.push(r.get_usize()?);
-            }
-            EvalPlan::Order(OrderPlan { order })
-        }
-        1 => {
-            let n = r.get_len()?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(match r.get_u8()? {
-                    0 => TreeNode::Leaf {
-                        slot: r.get_usize()?,
-                    },
-                    1 => TreeNode::Internal {
-                        left: r.get_usize()?,
-                        right: r.get_usize()?,
-                    },
-                    _ => return Err(CheckpointError::BadValue("tree node tag")),
-                });
-            }
-            let root = r.get_usize()?;
-            EvalPlan::Tree(TreePlan { nodes, root })
-        }
-        2 => {
-            let n = r.get_len()?;
-            let mut order = Vec::with_capacity(n);
-            for _ in 0..n {
-                order.push(r.get_usize()?);
-            }
-            EvalPlan::Lazy(LazyPlan { order })
-        }
-        _ => return Err(CheckpointError::BadValue("plan tag")),
-    })
-}
 
 /// One live partial match: its bound `(slot, event)` chain oldest-first
 /// plus the cached aggregates the arena handle carries.
@@ -125,67 +31,12 @@ pub struct PartialRec {
     pub bound: u32,
 }
 
-impl PartialRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.slots.len());
-        for &(slot, seq) in &self.slots {
-            w.put_u32(slot);
-            w.put_u64(seq);
-        }
-        w.put_u64(self.min_ts);
-        w.put_u64(self.max_ts);
-        w.put_u32(self.bound);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut slots = Vec::with_capacity(n);
-        for _ in 0..n {
-            slots.push((r.get_u32()?, r.get_u64()?));
-        }
-        Ok(Self {
-            slots,
-            min_ts: r.get_u64()?,
-            max_ts: r.get_u64()?,
-            bound: r.get_u32()?,
-        })
-    }
-}
-
-fn encode_partials(w: &mut Writer, v: &[PartialRec]) {
-    w.put_usize(v.len());
-    for p in v {
-        p.encode(w);
-    }
-}
-
-fn decode_partials(r: &mut Reader<'_>) -> Result<Vec<PartialRec>, CheckpointError> {
-    let n = r.get_len()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(PartialRec::decode(r)?);
-    }
-    Ok(v)
-}
-
 /// A time-windowed event buffer (negation guards, Kleene history, tree
 /// leaves), oldest event first.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BufferRec {
     /// Buffered event seqs, oldest first.
     pub seqs: Vec<u64>,
-}
-
-impl BufferRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        encode_vec_u64(w, &self.seqs);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            seqs: decode_vec_u64(r)?,
-        })
-    }
 }
 
 /// A completed match held pending a trailing negation/Kleene deadline.
@@ -201,44 +52,6 @@ pub struct PendingRec {
     pub kleene_sets: Vec<Vec<u64>>,
     /// Finalization deadline (`min_ts + window`).
     pub deadline: u64,
-}
-
-impl PendingRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.events.len());
-        for e in &self.events {
-            w.put_opt_u64(*e);
-        }
-        w.put_u64(self.min_ts);
-        w.put_u64(self.max_ts);
-        w.put_usize(self.kleene_sets.len());
-        for set in &self.kleene_sets {
-            encode_vec_u64(w, set);
-        }
-        w.put_u64(self.deadline);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(r.get_opt_u64()?);
-        }
-        let min_ts = r.get_u64()?;
-        let max_ts = r.get_u64()?;
-        let k = r.get_len()?;
-        let mut kleene_sets = Vec::with_capacity(k);
-        for _ in 0..k {
-            kleene_sets.push(decode_vec_u64(r)?);
-        }
-        Ok(Self {
-            events,
-            min_ts,
-            max_ts,
-            kleene_sets,
-            deadline: r.get_u64()?,
-        })
-    }
 }
 
 /// A finalizer: negation/Kleene history buffers, the restrictive-policy
@@ -258,61 +71,6 @@ pub struct FinalizerRec {
     pub comparisons: u64,
 }
 
-impl FinalizerRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.neg.len());
-        for b in &self.neg {
-            b.encode(w);
-        }
-        w.put_usize(self.kleene.len());
-        for b in &self.kleene {
-            b.encode(w);
-        }
-        match &self.seen {
-            Some(seqs) => {
-                w.put_u8(1);
-                encode_vec_u64(w, seqs);
-            }
-            None => w.put_u8(0),
-        }
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
-            p.encode(w);
-        }
-        w.put_u64(self.comparisons);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut neg = Vec::with_capacity(n);
-        for _ in 0..n {
-            neg.push(BufferRec::decode(r)?);
-        }
-        let n = r.get_len()?;
-        let mut kleene = Vec::with_capacity(n);
-        for _ in 0..n {
-            kleene.push(BufferRec::decode(r)?);
-        }
-        let seen = match r.get_u8()? {
-            0 => None,
-            1 => Some(decode_vec_u64(r)?),
-            _ => return Err(CheckpointError::BadValue("seen log option")),
-        };
-        let n = r.get_len()?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(PendingRec::decode(r)?);
-        }
-        Ok(Self {
-            neg,
-            kleene,
-            seen,
-            pending,
-            comparisons: r.get_u64()?,
-        })
-    }
-}
-
 /// An order-based (lazy-NFA) executor's live state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderExecRec {
@@ -328,42 +86,6 @@ pub struct OrderExecRec {
     pub events_since_sweep: u64,
 }
 
-impl OrderExecRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.buffers.len());
-        for b in &self.buffers {
-            b.encode(w);
-        }
-        w.put_usize(self.levels.len());
-        for level in &self.levels {
-            encode_partials(w, level);
-        }
-        self.finalizer.encode(w);
-        w.put_u64(self.comparisons);
-        w.put_u64(self.events_since_sweep);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut buffers = Vec::with_capacity(n);
-        for _ in 0..n {
-            buffers.push(BufferRec::decode(r)?);
-        }
-        let n = r.get_len()?;
-        let mut levels = Vec::with_capacity(n);
-        for _ in 0..n {
-            levels.push(decode_partials(r)?);
-        }
-        Ok(Self {
-            buffers,
-            levels,
-            finalizer: FinalizerRec::decode(r)?,
-            comparisons: r.get_u64()?,
-            events_since_sweep: r.get_u64()?,
-        })
-    }
-}
-
 /// A tree-based (ZStream) executor's live state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeExecRec {
@@ -375,32 +97,6 @@ pub struct TreeExecRec {
     pub comparisons: u64,
     /// Events since the last arena compaction sweep.
     pub events_since_sweep: u64,
-}
-
-impl TreeExecRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.store.len());
-        for node in &self.store {
-            encode_partials(w, node);
-        }
-        self.finalizer.encode(w);
-        w.put_u64(self.comparisons);
-        w.put_u64(self.events_since_sweep);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut store = Vec::with_capacity(n);
-        for _ in 0..n {
-            store.push(decode_partials(r)?);
-        }
-        Ok(Self {
-            store,
-            finalizer: FinalizerRec::decode(r)?,
-            comparisons: r.get_u64()?,
-            events_since_sweep: r.get_u64()?,
-        })
-    }
 }
 
 /// A lazy-chain executor's live state. Trigger deadlines are not
@@ -420,34 +116,6 @@ pub struct LazyExecRec {
     pub events_since_sweep: u64,
 }
 
-impl LazyExecRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.buffers.len());
-        for b in &self.buffers {
-            b.encode(w);
-        }
-        encode_vec_u64(w, &self.triggers);
-        self.finalizer.encode(w);
-        w.put_u64(self.comparisons);
-        w.put_u64(self.events_since_sweep);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut buffers = Vec::with_capacity(n);
-        for _ in 0..n {
-            buffers.push(BufferRec::decode(r)?);
-        }
-        Ok(Self {
-            buffers,
-            triggers: decode_vec_u64(r)?,
-            finalizer: FinalizerRec::decode(r)?,
-            comparisons: r.get_u64()?,
-            events_since_sweep: r.get_u64()?,
-        })
-    }
-}
-
 /// Any executor kind's state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecutorRec {
@@ -457,34 +125,6 @@ pub enum ExecutorRec {
     Tree(TreeExecRec),
     /// Lazy-chain executor.
     Lazy(LazyExecRec),
-}
-
-impl ExecutorRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        match self {
-            ExecutorRec::Order(e) => {
-                w.put_u8(0);
-                e.encode(w);
-            }
-            ExecutorRec::Tree(e) => {
-                w.put_u8(1);
-                e.encode(w);
-            }
-            ExecutorRec::Lazy(e) => {
-                w.put_u8(2);
-                e.encode(w);
-            }
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(match r.get_u8()? {
-            0 => ExecutorRec::Order(OrderExecRec::decode(r)?),
-            1 => ExecutorRec::Tree(TreeExecRec::decode(r)?),
-            2 => ExecutorRec::Lazy(LazyExecRec::decode(r)?),
-            _ => return Err(CheckpointError::BadValue("executor tag")),
-        })
-    }
 }
 
 /// One executor generation of a migrating engine: the plan it runs,
@@ -497,22 +137,6 @@ pub struct GenerationRec {
     pub start: u64,
     /// Executor state.
     pub exec: ExecutorRec,
-}
-
-impl GenerationRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        encode_plan(w, &self.plan);
-        w.put_u64(self.start);
-        self.exec.encode(w);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            plan: decode_plan(r)?,
-            start: r.get_u64()?,
-            exec: ExecutorRec::decode(r)?,
-        })
-    }
 }
 
 /// A per-(key, branch) migrating executor: its generation stack plus
@@ -529,32 +153,6 @@ pub struct MigratingRec {
     pub retired_comparisons: u64,
 }
 
-impl MigratingRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.gens.len());
-        for g in &self.gens {
-            g.encode(w);
-        }
-        w.put_u64(self.replacements);
-        w.put_u64(self.plan_epoch);
-        w.put_u64(self.retired_comparisons);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut gens = Vec::with_capacity(n);
-        for _ in 0..n {
-            gens.push(GenerationRec::decode(r)?);
-        }
-        Ok(Self {
-            gens,
-            replacements: r.get_u64()?,
-            plan_epoch: r.get_u64()?,
-            retired_comparisons: r.get_u64()?,
-        })
-    }
-}
-
 /// A per-(key, query) engine: one migrating executor per canonical
 /// branch plus stream-clock and counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -569,32 +167,6 @@ pub struct KeyedEngineRec {
     pub matches: u64,
 }
 
-impl KeyedEngineRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.branches.len());
-        for b in &self.branches {
-            b.encode(w);
-        }
-        w.put_u64(self.last_ts);
-        w.put_u64(self.events);
-        w.put_u64(self.matches);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut branches = Vec::with_capacity(n);
-        for _ in 0..n {
-            branches.push(MigratingRec::decode(r)?);
-        }
-        Ok(Self {
-            branches,
-            last_ts: r.get_u64()?,
-            events: r.get_u64()?,
-            matches: r.get_u64()?,
-        })
-    }
-}
-
 /// One controller branch's deployed plan + epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BranchCtlRec {
@@ -604,22 +176,6 @@ pub struct BranchCtlRec {
     pub epoch: u64,
     /// Whether the initial statistics-driven optimization ran.
     pub initialized: bool,
-}
-
-impl BranchCtlRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        encode_plan(w, &self.plan);
-        w.put_u64(self.epoch);
-        w.put_bool(self.initialized);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            plan: decode_plan(r)?,
-            epoch: r.get_u64()?,
-            initialized: r.get_bool()?,
-        })
-    }
 }
 
 /// Adaptation counters of one controller (timings in microseconds).
@@ -643,32 +199,6 @@ pub struct StatsRec {
     pub planning_time_us: u64,
 }
 
-impl StatsRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.events);
-        w.put_u64(self.decision_evals);
-        w.put_u64(self.reopt_triggers);
-        w.put_u64(self.planner_invocations);
-        w.put_u64(self.plan_replacements);
-        w.put_u64(self.plan_epoch);
-        w.put_u64(self.decision_time_us);
-        w.put_u64(self.planning_time_us);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            events: r.get_u64()?,
-            decision_evals: r.get_u64()?,
-            reopt_triggers: r.get_u64()?,
-            planner_invocations: r.get_u64()?,
-            plan_replacements: r.get_u64()?,
-            plan_epoch: r.get_u64()?,
-            decision_time_us: r.get_u64()?,
-            planning_time_us: r.get_u64()?,
-        })
-    }
-}
-
 /// One rate estimator's state inside a [`CollectorRec`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RateRec {
@@ -690,48 +220,6 @@ pub enum RateRec {
     },
 }
 
-impl RateRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        match self {
-            RateRec::Exact { times, first_ts } => {
-                w.put_u8(0);
-                encode_vec_u64(w, times);
-                w.put_opt_u64(*first_ts);
-            }
-            RateRec::Dgim { buckets, first_ts } => {
-                w.put_u8(1);
-                w.put_usize(buckets.len());
-                for &(size, ts) in buckets {
-                    w.put_u64(size);
-                    w.put_u64(ts);
-                }
-                w.put_opt_u64(*first_ts);
-            }
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(match r.get_u8()? {
-            0 => RateRec::Exact {
-                times: decode_vec_u64(r)?,
-                first_ts: r.get_opt_u64()?,
-            },
-            1 => {
-                let n = r.get_len()?;
-                let mut buckets = Vec::with_capacity(n);
-                for _ in 0..n {
-                    buckets.push((r.get_u64()?, r.get_u64()?));
-                }
-                RateRec::Dgim {
-                    buckets,
-                    first_ts: r.get_opt_u64()?,
-                }
-            }
-            _ => return Err(CheckpointError::BadValue("rate estimator tag")),
-        })
-    }
-}
-
 /// A controller's statistics collector: per-type rate-estimator state
 /// and per-type samples (event seq references into the shard's event
 /// table).
@@ -744,39 +232,6 @@ pub struct CollectorRec {
     /// Per-type sampled events as seq references (oldest first), type
     /// index order.
     pub samples: Vec<Vec<u64>>,
-}
-
-impl CollectorRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.events_observed);
-        w.put_usize(self.rates.len());
-        for rate in &self.rates {
-            rate.encode(w);
-        }
-        w.put_usize(self.samples.len());
-        for sample in &self.samples {
-            encode_vec_u64(w, sample);
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let events_observed = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut rates = Vec::with_capacity(n);
-        for _ in 0..n {
-            rates.push(RateRec::decode(r)?);
-        }
-        let n = r.get_len()?;
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(decode_vec_u64(r)?);
-        }
-        Ok(Self {
-            events_observed,
-            rates,
-            samples,
-        })
-    }
 }
 
 /// A per-(shard, query) controller: deployed plans, epochs, adaptation
@@ -810,34 +265,6 @@ pub struct ControllerRec {
     pub last_step_ts: u64,
 }
 
-impl ControllerRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.branches.len());
-        for b in &self.branches {
-            b.encode(w);
-        }
-        self.stats.encode(w);
-        w.put_u64(self.last_deploy_event);
-        self.collector.encode(w);
-        w.put_u64(self.last_step_ts);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let n = r.get_len()?;
-        let mut branches = Vec::with_capacity(n);
-        for _ in 0..n {
-            branches.push(BranchCtlRec::decode(r)?);
-        }
-        Ok(Self {
-            branches,
-            stats: StatsRec::decode(r)?,
-            last_deploy_event: r.get_u64()?,
-            collector: CollectorRec::decode(r)?,
-            last_step_ts: r.get_u64()?,
-        })
-    }
-}
-
 /// The reorder buffer: held events, per-source progress, and overflow
 /// accounting.
 #[derive(Debug, Clone, PartialEq)]
@@ -861,65 +288,6 @@ pub struct ReorderRec {
     pub overflow_by_source: Vec<(u32, u64)>,
 }
 
-impl ReorderRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.watermark);
-        w.put_u64(self.max_seen);
-        w.put_opt_u64(self.first_seen);
-        w.put_usize(self.sources.len());
-        for &(s, ts) in &self.sources {
-            w.put_u32(s);
-            w.put_u64(ts);
-        }
-        w.put_usize(self.heap.len());
-        for &(key, source, seq) in &self.heap {
-            w.put_u64(key);
-            w.put_u32(source);
-            w.put_u64(seq);
-        }
-        w.put_u64(self.max_depth);
-        w.put_u64(self.overflow);
-        w.put_usize(self.overflow_by_source.len());
-        for &(s, n) in &self.overflow_by_source {
-            w.put_u32(s);
-            w.put_u64(n);
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let watermark = r.get_u64()?;
-        let max_seen = r.get_u64()?;
-        let first_seen = r.get_opt_u64()?;
-        let n = r.get_len()?;
-        let mut sources = Vec::with_capacity(n);
-        for _ in 0..n {
-            sources.push((r.get_u32()?, r.get_u64()?));
-        }
-        let n = r.get_len()?;
-        let mut heap = Vec::with_capacity(n);
-        for _ in 0..n {
-            heap.push((r.get_u64()?, r.get_u32()?, r.get_u64()?));
-        }
-        let max_depth = r.get_u64()?;
-        let overflow = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut overflow_by_source = Vec::with_capacity(n);
-        for _ in 0..n {
-            overflow_by_source.push((r.get_u32()?, r.get_u64()?));
-        }
-        Ok(Self {
-            watermark,
-            max_seen,
-            first_seen,
-            sources,
-            heap,
-            max_depth,
-            overflow,
-            overflow_by_source,
-        })
-    }
-}
-
 /// One key's engines, one optional slot per registered query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyStateRec {
@@ -927,36 +295,6 @@ pub struct KeyStateRec {
     pub key: u64,
     /// Per-query engine state (`None` = no engine instantiated).
     pub engines: Vec<Option<KeyedEngineRec>>,
-}
-
-impl KeyStateRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.key);
-        w.put_usize(self.engines.len());
-        for e in &self.engines {
-            match e {
-                Some(rec) => {
-                    w.put_u8(1);
-                    rec.encode(w);
-                }
-                None => w.put_u8(0),
-            }
-        }
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let key = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut engines = Vec::with_capacity(n);
-        for _ in 0..n {
-            engines.push(match r.get_u8()? {
-                0 => None,
-                1 => Some(KeyedEngineRec::decode(r)?),
-                _ => return Err(CheckpointError::BadValue("engine option")),
-            });
-        }
-        Ok(Self { key, engines })
-    }
 }
 
 /// Worker-level counters carried across recovery.
@@ -985,36 +323,6 @@ pub struct CountersRec {
     pub emit_seq: u64,
 }
 
-impl CountersRec {
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.events);
-        w.put_u64(self.batches);
-        w.put_u64(self.late_dropped);
-        w.put_u64(self.late_routed);
-        w.put_u64(self.engine_time);
-        w.put_u64(self.max_event_ts);
-        w.put_u64(self.finalize_visits);
-        w.put_u64(self.stall_batches);
-        w.put_u64(self.prev_watermark);
-        w.put_u64(self.emit_seq);
-    }
-
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        Ok(Self {
-            events: r.get_u64()?,
-            batches: r.get_u64()?,
-            late_dropped: r.get_u64()?,
-            late_routed: r.get_u64()?,
-            engine_time: r.get_u64()?,
-            max_event_ts: r.get_u64()?,
-            finalize_visits: r.get_u64()?,
-            stall_batches: r.get_u64()?,
-            prev_watermark: r.get_u64()?,
-            emit_seq: r.get_u64()?,
-        })
-    }
-}
-
 /// One shard's full recoverable state at a checkpoint, with an
 /// incremental event-table delta.
 #[derive(Debug, Clone, PartialEq)]
@@ -1037,80 +345,205 @@ pub struct ShardCheckpoint {
     pub events: Vec<EventRec>,
 }
 
-impl ShardCheckpoint {
-    /// Encodes this checkpoint into the given writer.
-    pub fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.shard);
-        self.counters.encode(w);
-        match &self.reorder {
-            Some(rec) => {
-                w.put_u8(1);
-                rec.encode(w);
+wire_struct! {
+    PartialRec { slots, min_ts, max_ts, bound }
+    BufferRec { seqs }
+    PendingRec { events, min_ts, max_ts, kleene_sets, deadline }
+    FinalizerRec { neg, kleene, seen, pending, comparisons }
+    OrderExecRec { buffers, levels, finalizer, comparisons, events_since_sweep }
+    TreeExecRec { store, finalizer, comparisons, events_since_sweep }
+    LazyExecRec { buffers, triggers, finalizer, comparisons, events_since_sweep }
+    GenerationRec { plan, start, exec }
+    MigratingRec { gens, replacements, plan_epoch, retired_comparisons }
+    KeyedEngineRec { branches, last_ts, events, matches }
+    BranchCtlRec { plan, epoch, initialized }
+    StatsRec {
+        events, decision_evals, reopt_triggers, planner_invocations,
+        plan_replacements, plan_epoch, decision_time_us, planning_time_us,
+    }
+    CollectorRec { events_observed, rates, samples }
+    ControllerRec { branches, stats, last_deploy_event, collector, last_step_ts }
+    ReorderRec {
+        watermark, max_seen, first_seen, sources, heap, max_depth, overflow,
+        overflow_by_source,
+    }
+    KeyStateRec { key, engines }
+    CountersRec {
+        events, batches, late_dropped, late_routed, engine_time, max_event_ts,
+        finalize_visits, stall_batches, prev_watermark, emit_seq,
+    }
+    ShardCheckpoint { shard, counters, reorder, controllers, keys, retire_cursor, events }
+}
+
+/// Reads a plan order, rejecting anything but a permutation of `0..n`
+/// (the check `OrderPlan::new`/`LazyPlan::new` assert).
+fn get_permutation(r: &mut Reader<'_>) -> Result<Vec<usize>, CheckpointError> {
+    let order = Vec::<usize>::get(r)?;
+    let mut seen = vec![false; order.len()];
+    for &s in &order {
+        if s >= order.len() || std::mem::replace(&mut seen[s], true) {
+            return Err(CheckpointError::BadValue("plan order"));
+        }
+    }
+    Ok(order)
+}
+
+/// Order and lazy plans: tag, then the permutation. Tree plans: tag,
+/// the node arena, the root index. Decoding validates the structure the
+/// executors index by: orders are permutations, the root is in range,
+/// and every internal node's children precede it in the arena (as every
+/// planner builds them), so the tree is acyclic.
+impl Wire for EvalPlan {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            EvalPlan::Order(p) => {
+                w.put_u8(0);
+                p.order.put(w);
             }
-            None => w.put_u8(0),
-        }
-        w.put_usize(self.controllers.len());
-        for c in &self.controllers {
-            c.encode(w);
-        }
-        w.put_usize(self.keys.len());
-        for k in &self.keys {
-            k.encode(w);
-        }
-        w.put_u64(self.retire_cursor);
-        w.put_usize(self.events.len());
-        for e in &self.events {
-            e.encode(w);
+            EvalPlan::Tree(p) => {
+                w.put_u8(1);
+                p.nodes.put(w);
+                p.root.put(w);
+            }
+            EvalPlan::Lazy(p) => {
+                w.put_u8(2);
+                p.order.put(w);
+            }
         }
     }
 
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(match r.get_u8()? {
+            0 => EvalPlan::Order(OrderPlan {
+                order: get_permutation(r)?,
+            }),
+            1 => {
+                let nodes = Vec::<TreeNode>::get(r)?;
+                let root = r.get_usize()?;
+                let children_precede = nodes.iter().enumerate().all(|(i, n)| match *n {
+                    TreeNode::Leaf { .. } => true,
+                    TreeNode::Internal { left, right } => left < i && right < i,
+                });
+                if root >= nodes.len() || !children_precede {
+                    return Err(CheckpointError::BadValue("tree plan index"));
+                }
+                EvalPlan::Tree(TreePlan { nodes, root })
+            }
+            2 => EvalPlan::Lazy(LazyPlan {
+                order: get_permutation(r)?,
+            }),
+            _ => return Err(CheckpointError::BadValue("plan tag")),
+        })
+    }
+}
+
+impl Wire for TreeNode {
+    fn put(&self, w: &mut Writer) {
+        match *self {
+            TreeNode::Leaf { slot } => {
+                w.put_u8(0);
+                w.put_usize(slot);
+            }
+            TreeNode::Internal { left, right } => {
+                w.put_u8(1);
+                w.put_usize(left);
+                w.put_usize(right);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(match r.get_u8()? {
+            0 => TreeNode::Leaf {
+                slot: r.get_usize()?,
+            },
+            1 => TreeNode::Internal {
+                left: r.get_usize()?,
+                right: r.get_usize()?,
+            },
+            _ => return Err(CheckpointError::BadValue("tree node tag")),
+        })
+    }
+}
+
+impl Wire for ExecutorRec {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            ExecutorRec::Order(e) => {
+                w.put_u8(0);
+                e.put(w);
+            }
+            ExecutorRec::Tree(e) => {
+                w.put_u8(1);
+                e.put(w);
+            }
+            ExecutorRec::Lazy(e) => {
+                w.put_u8(2);
+                e.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(match r.get_u8()? {
+            0 => ExecutorRec::Order(Wire::get(r)?),
+            1 => ExecutorRec::Tree(Wire::get(r)?),
+            2 => ExecutorRec::Lazy(Wire::get(r)?),
+            _ => return Err(CheckpointError::BadValue("executor tag")),
+        })
+    }
+}
+
+impl Wire for RateRec {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            RateRec::Exact { times, first_ts } => {
+                w.put_u8(0);
+                times.put(w);
+                first_ts.put(w);
+            }
+            RateRec::Dgim { buckets, first_ts } => {
+                w.put_u8(1);
+                buckets.put(w);
+                first_ts.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(match r.get_u8()? {
+            0 => RateRec::Exact {
+                times: Wire::get(r)?,
+                first_ts: Wire::get(r)?,
+            },
+            1 => RateRec::Dgim {
+                buckets: Wire::get(r)?,
+                first_ts: Wire::get(r)?,
+            },
+            _ => return Err(CheckpointError::BadValue("rate estimator tag")),
+        })
+    }
+}
+
+impl ShardCheckpoint {
     /// Encodes this checkpoint into fresh bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode(&mut w);
-        w.into_bytes()
+        self.wire_bytes()
     }
 
-    /// Decodes a checkpoint written by [`ShardCheckpoint::encode`].
+    /// Decodes a checkpoint written by [`ShardCheckpoint::to_bytes`].
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        let shard = r.get_u32()?;
-        let counters = CountersRec::decode(r)?;
-        let reorder = match r.get_u8()? {
-            0 => None,
-            1 => Some(ReorderRec::decode(r)?),
-            _ => return Err(CheckpointError::BadValue("reorder option")),
-        };
-        let n = r.get_len()?;
-        let mut controllers = Vec::with_capacity(n);
-        for _ in 0..n {
-            controllers.push(ControllerRec::decode(r)?);
-        }
-        let n = r.get_len()?;
-        let mut keys = Vec::with_capacity(n);
-        for _ in 0..n {
-            keys.push(KeyStateRec::decode(r)?);
-        }
-        let retire_cursor = r.get_u64()?;
-        let n = r.get_len()?;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(EventRec::decode(r)?);
-        }
-        Ok(Self {
-            shard,
-            counters,
-            reorder,
-            controllers,
-            keys,
-            retire_cursor,
-            events,
-        })
+        Self::get(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn round_trip<T: Wire>(v: &T) -> Result<T, CheckpointError> {
+        T::get(&mut Reader::new(&v.wire_bytes()))
+    }
 
     fn sample_checkpoint() -> ShardCheckpoint {
         ShardCheckpoint {
@@ -1243,11 +676,7 @@ mod tests {
             comparisons: 21,
             events_since_sweep: 5,
         });
-        let mut w = Writer::new();
-        rec.encode(&mut w);
-        let bytes = w.into_bytes();
-        let back = ExecutorRec::decode(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(back, rec);
+        assert_eq!(round_trip(&rec), Ok(rec));
     }
 
     #[test]
@@ -1261,11 +690,35 @@ mod tests {
                 order: vec![2, 0, 1],
             }),
         ] {
-            let mut w = Writer::new();
-            encode_plan(&mut w, &plan);
-            let bytes = w.into_bytes();
-            let back = decode_plan(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(back, plan);
+            assert_eq!(round_trip(&plan), Ok(plan));
+        }
+    }
+
+    #[test]
+    fn invalid_plans_are_rejected_on_decode() {
+        let tree = |nodes: Vec<TreeNode>, root| EvalPlan::Tree(TreePlan { nodes, root });
+        let leaf = |slot| TreeNode::Leaf { slot };
+        for (plan, what) in [
+            (
+                EvalPlan::Order(OrderPlan { order: vec![0, 2] }),
+                "plan order",
+            ),
+            (EvalPlan::Lazy(LazyPlan { order: vec![1, 1] }), "plan order"),
+            (tree(vec![leaf(0)], 1), "tree plan index"),
+            (
+                tree(vec![leaf(0), TreeNode::Internal { left: 0, right: 5 }], 1),
+                "tree plan index",
+            ),
+            (
+                tree(vec![TreeNode::Internal { left: 0, right: 0 }], 0),
+                "tree plan index",
+            ),
+        ] {
+            assert_eq!(
+                round_trip(&plan),
+                Err(CheckpointError::BadValue(what)),
+                "{plan:?}"
+            );
         }
     }
 }

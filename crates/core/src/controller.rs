@@ -34,7 +34,7 @@ use acep_checkpoint::{
     BranchCtlRec, CheckpointError, CollectorRec, ControllerRec, EventMap, EventTable, RateRec,
     StatsRec,
 };
-use acep_engine::{build_executor, ExecContext, Executor};
+use acep_engine::{build_executor, plan_covers, ExecContext, Executor};
 use acep_plan::{CollectingRecorder, EvalPlan, Planner};
 use acep_stats::{CollectorState, RateState, SharedSnapshot, StatisticsCollector};
 use acep_telemetry::{
@@ -502,6 +502,9 @@ impl QueryController {
             return Err(CheckpointError::BadValue("controller branch count"));
         }
         for (b, br) in self.branches.iter_mut().zip(&rec.branches) {
+            if !plan_covers(&br.plan, b.ctx.n) {
+                return Err(CheckpointError::BadValue("plan size"));
+            }
             b.plan = br.plan.clone();
             b.epoch = br.epoch;
             b.initialized = br.initialized;
@@ -758,6 +761,21 @@ mod tests {
             other => panic!("lazy-chain planner must deploy lazy plans, got {other:?}"),
         }
         assert!(!out.is_empty(), "lazy engine must detect matches");
+    }
+
+    #[test]
+    fn import_rejects_a_plan_of_the_wrong_size() {
+        let p = Pattern::sequence("p", &[t(0), t(1), t(2)], 500);
+        let template = EngineTemplate::new(&p, 3, config()).unwrap();
+        let ctl = template.controller();
+        let mut table = acep_checkpoint::EventTable::new();
+        let mut crec = ctl.export_rec(&mut table);
+        crec.branches[0].plan = acep_plan::EvalPlan::Order(acep_plan::OrderPlan::identity(2));
+        let err = template
+            .controller()
+            .import_rec(&crec, &acep_checkpoint::EventMap::new())
+            .unwrap_err();
+        assert_eq!(err, CheckpointError::BadValue("plan size"));
     }
 
     #[test]

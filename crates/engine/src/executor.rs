@@ -96,16 +96,35 @@ pub fn build_executor(ctx: Arc<ExecContext>, plan: &EvalPlan) -> Box<dyn Executo
     }
 }
 
+/// Whether `plan` covers exactly the slots `0..n` of a sub-pattern —
+/// what the executor constructors assert. Restore paths check it
+/// because a decoded plan is only structurally valid (a permutation,
+/// or an acyclic tree) and may still belong to another sub-pattern.
+pub fn plan_covers(plan: &EvalPlan, n: usize) -> bool {
+    let mut slots = match plan {
+        EvalPlan::Order(p) => p.order.clone(),
+        EvalPlan::Lazy(p) => p.order.clone(),
+        EvalPlan::Tree(p) if p.num_leaves() == n => p.leaves_under(p.root),
+        EvalPlan::Tree(_) => return false,
+    };
+    slots.sort_unstable();
+    slots.into_iter().eq(0..n)
+}
+
 /// Rebuilds an executor from a checkpoint record. `plan` must be the
 /// plan the exporting executor was built from (the record only holds
 /// state, not structure — structure is rebuilt deterministically from
-/// the plan, so indices in the record line up).
+/// the plan, so indices in the record line up). A plan that does not
+/// cover the sub-pattern's slots is a `BadValue`, not a panic.
 pub fn restore_executor(
     ctx: Arc<ExecContext>,
     plan: &EvalPlan,
     rec: &ExecutorRec,
     events: &EventMap,
 ) -> Result<Box<dyn Executor>, CheckpointError> {
+    if !plan_covers(plan, ctx.n) {
+        return Err(CheckpointError::BadValue("plan size"));
+    }
     match (plan, rec) {
         (EvalPlan::Order(p), ExecutorRec::Order(r)) => {
             Ok(Box::new(OrderExecutor::restore(ctx, p, r, events)?))
@@ -134,5 +153,31 @@ mod tests {
         let t = build_executor(ctx, &EvalPlan::Tree(TreePlan::left_deep(&[0, 1])));
         assert_eq!(o.partial_count(), 0);
         assert_eq!(t.partial_count(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_a_plan_of_the_wrong_size() {
+        let p = Pattern::sequence("p", &[EventTypeId(0), EventTypeId(1)], 100);
+        let ctx = ExecContext::compile(&p.canonical().branches[0]).unwrap();
+        let exec = build_executor(Arc::clone(&ctx), &EvalPlan::Order(OrderPlan::identity(2)));
+        let mut table = EventTable::new();
+        let rec = exec.export_rec(&mut table);
+        let events = EventMap::new();
+        for plan in [
+            EvalPlan::Order(OrderPlan::identity(3)),
+            EvalPlan::Order(OrderPlan::identity(1)),
+            EvalPlan::Tree(TreePlan::left_deep(&[0, 2])),
+            EvalPlan::Tree(TreePlan::leaf(0)),
+        ] {
+            assert!(!plan_covers(&plan, 2), "{plan:?}");
+            assert_eq!(
+                restore_executor(Arc::clone(&ctx), &plan, &rec, &events).err(),
+                Some(CheckpointError::BadValue("plan size")),
+                "{plan:?}"
+            );
+        }
+        assert!(
+            restore_executor(ctx, &EvalPlan::Order(OrderPlan::identity(2)), &rec, &events).is_ok()
+        );
     }
 }

@@ -57,7 +57,7 @@ pub mod tree_exec;
 pub use buffer::EventBuffer;
 pub use composite::StaticEngine;
 pub use context::{ExecContext, NegGuard, PartialBinding};
-pub use executor::{build_executor, restore_executor, Executor};
+pub use executor::{build_executor, plan_covers, restore_executor, Executor};
 pub use finalize::{Completed, Finalizer, FinalizerHistory};
 pub use lazy_exec::LazyExecutor;
 pub use matches::{Match, MatchKey};

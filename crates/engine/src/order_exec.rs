@@ -111,7 +111,12 @@ impl OrderExecutor {
         }
         for (level, recs) in exec.levels.iter_mut().zip(&rec.levels) {
             for p in recs {
-                level.push(Partial::restore_rec(&mut exec.store, p, events)?);
+                level.push(Partial::restore_rec(
+                    &mut exec.store,
+                    p,
+                    events,
+                    exec.ctx.n,
+                )?);
             }
         }
         exec.finalizer.import_rec(&rec.finalizer, events)?;

@@ -309,12 +309,17 @@ impl Partial {
     /// Rebuilds a partial from a checkpoint record, pushing its chain
     /// into `store`. Restored chains are not shared across partials
     /// (sharing is a memory optimization, not part of the state); the
-    /// recorded bounds are authoritative.
+    /// recorded bounds are authoritative. Every bound slot must be
+    /// below the sub-pattern's slot count `n`.
     pub fn restore_rec(
         store: &mut PartialStore,
         rec: &acep_checkpoint::PartialRec,
         events: &acep_checkpoint::EventMap,
+        n: usize,
     ) -> Result<Self, acep_checkpoint::CheckpointError> {
+        if rec.slots.iter().any(|&(slot, _)| slot as usize >= n) {
+            return Err(acep_checkpoint::CheckpointError::BadValue("partial slot"));
+        }
         let mut iter = rec.slots.iter();
         let &(slot0, seq0) = iter
             .next()
@@ -420,6 +425,24 @@ mod tests {
 
     fn ev(ts: u64, seq: u64) -> Arc<Event> {
         Event::new(EventTypeId(0), ts, seq, vec![])
+    }
+
+    #[test]
+    fn restore_rejects_a_slot_outside_the_pattern() {
+        let mut events = acep_checkpoint::EventMap::new();
+        events.insert(&acep_checkpoint::EventRec::from_event(&ev(10, 7)));
+        let rec = |slot| acep_checkpoint::PartialRec {
+            slots: vec![(slot, 7)],
+            min_ts: 10,
+            max_ts: 10,
+            bound: 1,
+        };
+        let mut s = PartialStore::new();
+        assert!(Partial::restore_rec(&mut s, &rec(1), &events, 2).is_ok());
+        assert_eq!(
+            Partial::restore_rec(&mut s, &rec(2), &events, 2).err(),
+            Some(acep_checkpoint::CheckpointError::BadValue("partial slot"))
+        );
     }
 
     #[test]

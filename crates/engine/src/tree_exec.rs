@@ -99,7 +99,12 @@ impl TreeExecutor {
         }
         for (node, recs) in exec.store.iter_mut().zip(&rec.store) {
             for p in recs {
-                node.push(Partial::restore_rec(&mut exec.pstore, p, events)?);
+                node.push(Partial::restore_rec(
+                    &mut exec.pstore,
+                    p,
+                    events,
+                    exec.ctx.n,
+                )?);
             }
         }
         exec.finalizer.import_rec(&rec.finalizer, events)?;

@@ -175,6 +175,10 @@ pub struct ShardedRuntime {
     /// checkpoint's manifest so recovery can tell the caller where its
     /// replay suffix starts.
     events_ingested: u64,
+    /// Manifest of the checkpoint this runtime last sealed or recovered
+    /// from. Shards write only an event delta when a log's latest
+    /// manifest is this one, and their full event table otherwise.
+    last_sealed: Option<Manifest>,
 }
 
 impl ShardedRuntime {
@@ -229,6 +233,7 @@ impl ShardedRuntime {
         }
         let mut runtime = Self::build(set, extractor, sink, config, Some(&frames))?;
         runtime.events_ingested = manifest.events_ingested;
+        runtime.last_sealed = Some(manifest.clone());
         let report = RecoveryReport {
             checkpoint_id: manifest.checkpoint_id,
             events_ingested: manifest.events_ingested,
@@ -325,6 +330,7 @@ impl ShardedRuntime {
             num_queries: set.len(),
             telemetry: hub,
             events_ingested: 0,
+            last_sealed: None,
         })
     }
 
@@ -594,21 +600,24 @@ impl ShardedRuntime {
     /// [`events_ingested`](Self::events_ingested) — the caller's replay
     /// offset — and the per-shard emit frontier for sink-side dedup.
     ///
-    /// Incremental: events already persisted for a shard by an earlier
-    /// checkpoint *into the same log by this runtime incarnation* are
-    /// not re-encoded; recovery folds the frame chain. A crash while
-    /// appending leaves an unsealed (manifest-less) checkpoint, which
-    /// recovery ignores in favor of the previous sealed one.
+    /// Incremental: when `log`'s latest manifest is the one this
+    /// runtime last sealed (or recovered from), events that log already
+    /// holds for a shard are not re-encoded and recovery folds the
+    /// frame chain. Any other log — a fresh one, say — gets every
+    /// shard's full event table. A crash while appending leaves an
+    /// unsealed (manifest-less) checkpoint, which recovery ignores in
+    /// favor of the previous sealed one.
     ///
     /// On [`ShardFailed`] nothing is appended to `log` — a poisoned
     /// shard cannot checkpoint, and partial checkpoints without their
     /// manifest would only be dead weight.
     pub fn checkpoint(&mut self, log: &mut CheckpointLog) -> Result<CheckpointStats, ShardFailed> {
         self.drain_pending();
+        let full = log.latest_manifest().ok().flatten() != self.last_sealed;
         let replies: Vec<_> = (0..self.workers.len())
             .map(|shard| {
                 let (tx, rx) = mpsc::channel();
-                self.send(shard, ToWorker::Checkpoint(tx));
+                self.send(shard, ToWorker::Checkpoint { full, reply: tx });
                 rx
             })
             .collect();
@@ -630,6 +639,9 @@ impl ShardedRuntime {
             }
         }
         if let Some((shard, payload)) = failure {
+            // Healthy shards counted their unwritten frames as logged:
+            // make the next checkpoint a full one.
+            self.last_sealed = None;
             return Err(ShardFailed {
                 shard,
                 payload,
@@ -642,12 +654,14 @@ impl ShardedRuntime {
             bytes += frame.len() as u64;
             log.append_shard(checkpoint_id, shard as u32, frame);
         }
-        log.append_manifest(&Manifest {
+        let manifest = Manifest {
             checkpoint_id,
             shards: self.workers.len() as u32,
             events_ingested: self.events_ingested,
             emit_frontier,
-        });
+        };
+        log.append_manifest(&manifest);
+        self.last_sealed = Some(manifest);
         Ok(CheckpointStats {
             checkpoint_id,
             bytes,

@@ -109,8 +109,14 @@ pub(crate) enum ToWorker {
     Stats(Sender<Result<ShardStats, String>>),
     /// Serialize the shard's full recoverable state, replying with the
     /// encoded [`ShardCheckpoint`] frame and the shard's emit frontier
-    /// (last emission number handed to the sink). Processing continues.
-    Checkpoint(Sender<Result<(Vec<u8>, u64), String>>),
+    /// (last emission number handed to the sink). `full` drops the
+    /// incremental baseline, so the frame carries every referenced
+    /// event (the target log lacks this shard's earlier frames).
+    /// Processing continues.
+    Checkpoint {
+        full: bool,
+        reply: Sender<Result<(Vec<u8>, u64), String>>,
+    },
     /// Release the reorder buffer, flush engine state (end-of-stream
     /// matches), reply with final stats, and exit.
     Finish(Sender<Result<ShardStats, String>>),
@@ -216,9 +222,10 @@ pub(crate) struct ShardWorker {
     /// emit frontier (sink-side exactly-once dedup, see
     /// [`TaggedMatch::emit`]).
     emit_seq: u64,
-    /// Event seqs already persisted by an earlier checkpoint frame of
-    /// this incarnation — the incremental baseline: the next frame's
-    /// event table only carries seqs not in here.
+    /// Event seqs already persisted by an earlier checkpoint frame in
+    /// the runtime's current log — the incremental baseline: the next
+    /// frame's event table only carries seqs not in here. Cleared when
+    /// the runtime checkpoints into a different log.
     logged_seqs: HashSet<u64>,
     /// Panic payload of the evaluation panic that poisoned this worker
     /// (`None` = healthy). See [`ToWorker`].
@@ -444,7 +451,10 @@ impl ShardWorker {
                 let _ = reply.send(Ok(self.stats()));
                 false
             }
-            ToWorker::Checkpoint(reply) => {
+            ToWorker::Checkpoint { full, reply } => {
+                if full {
+                    self.logged_seqs.clear();
+                }
                 let frame = self.export_checkpoint();
                 let _ = reply.send(Ok(frame));
                 false
@@ -470,7 +480,7 @@ impl ShardWorker {
                 let _ = reply.send(Err(payload.to_string()));
                 false
             }
-            ToWorker::Checkpoint(reply) => {
+            ToWorker::Checkpoint { reply, .. } => {
                 let _ = reply.send(Err(payload.to_string()));
                 false
             }

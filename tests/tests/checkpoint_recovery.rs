@@ -12,7 +12,10 @@
 //!   golden byte image (regenerate with `ACEP_REGEN_GOLDENS=1`),
 //! * **incrementality** — a second checkpoint with no new traffic
 //!   re-encodes structure but not event payloads, so it is strictly
-//!   smaller, and recovery folds the frame chain across checkpoints,
+//!   smaller, and recovery folds the frame chain across checkpoints;
+//!   a checkpoint into a fresh log is full, never a dangling delta,
+//! * **damaged payloads** — the record decoder returns errors on
+//!   truncated or bit-flipped shard payloads and never panics,
 //! * **watermark restoration** — per-source watermark state survives
 //!   recovery without regressing, including a source that was idle at
 //!   checkpoint time,
@@ -36,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 use acep_checkpoint::{
     BranchCtlRec, BufferRec, CollectorRec, ControllerRec, CountersRec, EventRec, ExecutorRec,
     FinalizerRec, GenerationRec, KeyStateRec, KeyedEngineRec, LazyExecRec, Manifest, MigratingRec,
-    OrderExecRec, PartialRec, PendingRec, RateRec, ReorderRec, ShardCheckpoint, StatsRec,
+    OrderExecRec, PartialRec, PendingRec, RateRec, Reader, ReorderRec, ShardCheckpoint, StatsRec,
     TreeExecRec, ValueRec,
 };
 use acep_core::{AdaptiveConfig, PolicyKind};
@@ -404,6 +407,63 @@ fn a_second_checkpoint_is_incremental_and_recoverable() {
     assert_eq!(canonical(inner.drain()), reference);
 }
 
+/// The incremental baseline belongs to a log, not to the runtime: a
+/// checkpoint into a second, fresh log carries every event its state
+/// references, so recovering from that log alone reproduces the
+/// uninterrupted run.
+#[test]
+fn a_checkpoint_into_a_fresh_log_is_self_contained() {
+    let events = stream();
+    let set = queries(&Scenario::new(DatasetKind::Stocks));
+    let cut = events.len() / 2;
+    let shards = 2;
+
+    let (reference, _) = run_uninterrupted(&set, &events, shards);
+    let inner = Arc::new(CollectingSink::new());
+    let dedup = Arc::new(DedupSink::new(
+        Arc::clone(&inner) as Arc<dyn MatchSink>,
+        shards,
+    ));
+    let mut runtime = ShardedRuntime::new(
+        &set,
+        Arc::new(LastAttrKeyExtractor),
+        Arc::clone(&dedup) as _,
+        config(shards),
+    )
+    .unwrap();
+    for chunk in events[..cut].chunks(1_000) {
+        runtime.push_batch(chunk);
+    }
+    let (mut first, mut second) = (CheckpointLog::new(), CheckpointLog::new());
+    runtime.checkpoint(&mut first).unwrap();
+    runtime.checkpoint(&mut second).unwrap();
+    let observed = dedup.frontier();
+    drop(runtime);
+
+    let dedup2 = Arc::new(DedupSink::with_frontier(
+        Arc::clone(&inner) as Arc<dyn MatchSink>,
+        observed,
+    ));
+    let (mut recovered, report) = ShardedRuntime::recover(
+        &set,
+        Arc::new(LastAttrKeyExtractor),
+        Arc::clone(&dedup2) as _,
+        config(shards),
+        &second,
+    )
+    .expect("the second log holds every event its frames reference");
+    for chunk in events[report.events_ingested as usize..].chunks(1_000) {
+        recovered.push_batch(chunk);
+    }
+    recovered.finish();
+    assert_eq!(canonical(inner.drain()), reference);
+    assert_eq!(
+        first.as_bytes(),
+        second.as_bytes(),
+        "no traffic between the checkpoints: both logs hold the same full image"
+    );
+}
+
 /// Recovery refuses a mismatched worker count: the shard hash pins
 /// keys to W, so resuming at a different W would silently misroute.
 #[test]
@@ -703,6 +763,29 @@ fn golden_wire_format_v2_is_stable() {
     assert_eq!(decoded, checkpoint, "decode(encode(x)) != x");
     assert_eq!(events.get(1).unwrap().timestamp, 100);
     assert_eq!(events.get(2).unwrap().attrs[1], Value::Str("acep".into()));
+}
+
+/// The record decoder itself — behind the frame checksum — turns damage
+/// into typed errors: the golden shard payload cut at every length is
+/// an `Err`, and with any one byte flipped it decodes or errs but never
+/// panics.
+#[test]
+fn damaged_shard_payloads_decode_to_errors_not_panics() {
+    let payload = golden_checkpoint().to_bytes();
+    for len in 0..payload.len() {
+        assert!(
+            ShardCheckpoint::decode(&mut Reader::new(&payload[..len])).is_err(),
+            "payload truncated to {len} bytes decoded"
+        );
+    }
+    let mut damaged = payload.clone();
+    for i in 0..payload.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            damaged[i] ^= mask;
+            let _ = ShardCheckpoint::decode(&mut Reader::new(&damaged));
+            damaged[i] ^= mask;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
